@@ -40,6 +40,7 @@ from repro.blockchain.engine import (
     ScriptCacheStats,
     ValidationEngine,
     ValidationReport,
+    VerdictMemo,
 )
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_branch, merkle_root, verify_branch
@@ -85,6 +86,7 @@ __all__ = [
     "ScriptCacheStats",
     "ValidationEngine",
     "ValidationReport",
+    "VerdictMemo",
     "OutPoint",
     "PoSProducer",
     "RelayDecision",

@@ -21,7 +21,11 @@ from repro.blockchain.transaction import (
     TxInput,
     TxOutput,
 )
-from repro.blockchain.engine import ValidationEngine, ValidationReport
+from repro.blockchain.engine import (
+    ValidationEngine,
+    ValidationReport,
+    VerdictMemo,
+)
 from repro.blockchain.utxo import JournaledUTXOSet, UTXOEntry, UTXOSet
 from repro.errors import ConfigurationError, ValidationError
 from repro.script.builder import op_return
@@ -85,13 +89,16 @@ class Chain:
 
     def __init__(self, params: Optional[ChainParams] = None,
                  verify_scripts: Optional[bool] = None,
-                 utxo_store: str = "dict") -> None:
+                 utxo_store: str = "dict",
+                 verdict_memo: Optional[VerdictMemo] = None) -> None:
         self.params = params or ChainParams()
         # The staged validation pipeline plus its script cache; whether
         # connecting blocks re-runs scripts defaults to the chain params'
-        # verify_blocks flag (the Fig. 5 / Fig. 6 toggle).
+        # verify_blocks flag (the Fig. 5 / Fig. 6 toggle).  A simulated
+        # federation shares one host-side verdict memo across its chains.
         self.engine = ValidationEngine(self.params,
-                                       verify_scripts=verify_scripts)
+                                       verify_scripts=verify_scripts,
+                                       verdict_memo=verdict_memo)
         self.last_report: Optional[ValidationReport] = None
         # "dict" is the plain mapping; "journal" adds an append-only undo
         # log (JournaledUTXOSet) so reorg disconnects rewind in

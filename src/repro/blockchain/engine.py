@@ -27,6 +27,7 @@ from repro.blockchain.sigbatch import precompute_verdicts
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
+from repro.obs.registry import StatsView
 from repro.parallel.jobs import ERROR_SCRIPT_FAILED, VerifyJob, VerifyResult
 from repro.script.analysis import StandardnessPolicy
 from repro.script.interpreter import ScriptInterpreter
@@ -37,6 +38,7 @@ __all__ = [
     "ScriptCacheStats",
     "ValidationEngine",
     "ValidationReport",
+    "VerdictMemo",
 ]
 
 MAX_MONEY = 21_000_000 * 100_000_000
@@ -60,6 +62,66 @@ class ScriptCacheStats:  # lint: allow(ad-hoc-telemetry) — consensus-layer; mi
     def snapshot(self) -> "ScriptCacheStats":
         return ScriptCacheStats(hits=self.hits, misses=self.misses,
                                 evictions=self.evictions)
+
+
+class VerdictMemo:
+    """Host-side memo of successful script verdicts, shared by engines.
+
+    A simulated federation runs every daemon's engine in one process.
+    Each engine's own ``_script_cache`` and ``cache_stats`` are the
+    *simulated* view — what that daemon executed, and what the cost model
+    charges it for — and they stay per engine.  Re-running the same pure
+    interpreter once per simulated daemon buys no fidelity, so on a
+    per-engine miss the engine asks this memo first and runs the
+    interpreter only if no engine sharing the memo has verified the spend.
+
+    The key is the engines' ``(txid, input_index, entry_hash)``: the txid
+    commits to the scriptSig, the entry hash to the locking script and
+    value, so it covers everything a verdict depends on.  Only successes
+    are stored (a failing spend re-executes and raises the serial error
+    string), FIFO-bounded at ``max_entries``.  The counters measure host
+    work, so :meth:`stats` names them ``host.verdict_memo.*`` and they are
+    kept out of the metrics registry (and thus out of exported traces).
+    """
+
+    def __init__(self, max_entries: int = 1 << 16) -> None:
+        self.max_entries = max_entries
+        self._verified: dict[tuple[bytes, int, bytes], None] = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._verified)
+
+    def recall(self, key: tuple[bytes, int, bytes]) -> bool:
+        """Whether ``key`` was verified before; counts a hit or a miss."""
+        if key in self._verified:
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def store(self, key: tuple[bytes, int, bytes]) -> None:
+        """Record a successful verdict, FIFO-evicting at capacity."""
+        if key in self._verified:
+            return
+        if len(self._verified) >= self.max_entries:
+            self._verified.pop(next(iter(self._verified)))
+            self.evictions += 1
+        self._verified[key] = None
+
+    def clear(self) -> None:
+        self._verified.clear()
+
+    def stats(self) -> StatsView:
+        """Host counters: interpreter runs saved, run, and evicted."""
+        return StatsView({
+            "host.verdict_memo.hits": self.hits,
+            "host.verdict_memo.misses": self.misses,
+            "host.verdict_memo.evictions": self.evictions,
+            "host.verdict_memo.entries": len(self._verified),
+        })
 
 
 @dataclass(frozen=True)
@@ -134,7 +196,6 @@ class _ScriptBatch:
         # (tag, input_index) -> (tx, entry): what the parent needs to
         # rebuild the serial error message and the cache key.
         self._meta: dict[tuple[int, int], tuple[Transaction, UTXOEntry]] = {}
-        self._tx_bytes: dict[bytes, bytes] = {}
         # Wire serialization only matters when jobs cross a process
         # boundary; the inline executor works from the live objects.
         self._wire = engine.verify_pool is not None
@@ -165,17 +226,10 @@ class _ScriptBatch:
                     f"script fast-reject for input {index} of "
                     f"{tx.txid.hex()[:16]}..: {reason}"
                 ))
-        if self._wire:
-            tx_bytes = self._tx_bytes.get(tx.txid)
-            if tx_bytes is None:
-                tx_bytes = tx.serialize()
-                self._tx_bytes[tx.txid] = tx_bytes
-        else:
-            tx_bytes = b""
         self.jobs.append(VerifyJob(
             txid=tx.txid,
             input_index=index,
-            tx_bytes=tx_bytes,
+            tx_bytes=tx.serialize() if self._wire else b"",
             locking_bytes=entry.output.script_pubkey.to_bytes()
             if self._wire else b"",
             tag=tag,
@@ -199,29 +253,30 @@ class _ScriptBatch:
     def _execute_inline(self) -> list[VerifyResult]:
         """Execute queued jobs in-process through the batch layer.
 
-        One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
+        Jobs the engine's :class:`VerdictMemo` already holds come back ok
+        without running anything.  For the rest, one
+        :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
         computes every input's sighash (one serialization per tx) and
         batch-verifies all recognizable CHECKSIG spends; the interpreter
         then replays each script pair with those results as pure
         accelerations, so verdicts match the unbatched path bit-for-bit.
         """
-        spends = []
+        memo = self.engine.verdict_memo
+        work = []
         for job in self.jobs:
             tx, entry = self._meta[(job.tag, job.input_index)]
-            spends.append((tx, job.input_index, entry.output.script_pubkey))
-        hints, verdicts = precompute_verdicts(spends)
+            known = memo.recall((job.txid, job.input_index, entry.entry_hash))
+            work.append((job, tx, entry.output.script_pubkey, known))
+        spends = [(tx, job.input_index, locking)
+                  for job, tx, locking, known in work if not known]
+        hints, verdicts = precompute_verdicts(spends) if spends else ({}, {})
         results = []
-        for job in self.jobs:
-            tx, entry = self._meta[(job.tag, job.input_index)]
-            locking = entry.output.script_pubkey
-            context = TransactionContext(
+        for job, tx, locking, known in work:
+            ok = known or ScriptInterpreter(context=TransactionContext(
                 tx=tx, input_index=job.input_index, locking_script=locking,
                 sighash_hint=hints.get((job.txid, job.input_index)),
                 verdict_cache=verdicts,
-            )
-            ok = ScriptInterpreter(context=context).verify(
-                tx.inputs[job.input_index].script_sig, locking
-            )
+            )).verify(tx.inputs[job.input_index].script_sig, locking)
             results.append(VerifyResult(
                 txid=job.txid, input_index=job.input_index, ok=ok,
                 error_code=None if ok else ERROR_SCRIPT_FAILED, tag=job.tag,
@@ -243,7 +298,6 @@ class _ScriptBatch:
         else:
             results = self._execute_inline()
         self.jobs = []
-        self._tx_bytes.clear()
         results.sort(key=lambda result: (result.tag, result.input_index))
         first_failure = None
         executions = 0
@@ -301,6 +355,10 @@ class ValidationEngine:
         Montgomery-batched inversions).  Verdicts, error strings, and
         cache accounting are identical either way; ``False`` restores
         strictly input-at-a-time verification.
+    :param verdict_memo: the host-side :class:`VerdictMemo` consulted on
+        a cache miss before running the interpreter.  A simulated
+        federation passes one memo to every engine; omitted, the engine
+        gets a private one (sized ``max_cache_entries``).
     """
 
     def __init__(self, params: ChainParams,
@@ -308,7 +366,8 @@ class ValidationEngine:
                  max_cache_entries: int = 1 << 16,
                  policy: Optional[StandardnessPolicy] = None,
                  static_precheck: bool = True,
-                 batch_verify: bool = True) -> None:
+                 batch_verify: bool = True,
+                 verdict_memo: Optional[VerdictMemo] = None) -> None:
         self.params = params
         self.verify_scripts = (
             params.verify_blocks if verify_scripts is None else verify_scripts
@@ -325,6 +384,8 @@ class ValidationEngine:
         # and the offending tx never reaches a later stage twice).
         self._script_cache: dict[tuple[bytes, int, bytes], bool] = {}
         self.cache_stats = ScriptCacheStats()
+        self.verdict_memo = (VerdictMemo(max_cache_entries)
+                             if verdict_memo is None else verdict_memo)
         self.last_report: Optional[ValidationReport] = None
         # Optional wall-clock profiler (repro.obs.profile.HotPathProfiler).
         # None by default: the hot paths below pay exactly one attribute
@@ -446,6 +507,12 @@ class ValidationEngine:
                     f"{tx.txid.hex()[:16]}..: {reason}"
                 )
         self.cache_stats.misses += 1
+        if self.verdict_memo.recall(key):
+            # Verified before, by an engine sharing the memo (or by this
+            # one before its cache evicted the key): the simulated miss
+            # stands, only the host skips the interpreter.
+            self._cache_store(key)
+            return False
         context = TransactionContext(
             tx=tx, input_index=index,
             locking_script=entry.output.script_pubkey,
@@ -470,11 +537,13 @@ class ValidationEngine:
         return False
 
     def _cache_store(self, key: tuple[bytes, int, bytes]) -> None:
-        """Record a successful verdict, FIFO-evicting at capacity."""
+        """Record a successful verdict, FIFO-evicting at capacity, in this
+        engine's cache and in its verdict memo."""
         if len(self._script_cache) >= self.max_cache_entries:
             self._script_cache.pop(next(iter(self._script_cache)))
             self.cache_stats.evictions += 1
         self._script_cache[key] = True
+        self.verdict_memo.store(key)
 
     def verify_input_scripts(self, tx: Transaction,
                              entries: list[UTXOEntry]) -> int:
@@ -765,4 +834,7 @@ class ValidationEngine:
         return len(self._script_cache)
 
     def clear_cache(self) -> None:
+        """Forget every cached verdict, the verdict memo's included (a
+        shared memo then re-executes for every engine using it)."""
         self._script_cache.clear()
+        self.verdict_memo.clear()

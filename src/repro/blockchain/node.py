@@ -14,7 +14,11 @@ from typing import Optional
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import AddBlockResult, Chain
-from repro.blockchain.engine import ValidationEngine, ValidationReport
+from repro.blockchain.engine import (
+    ValidationEngine,
+    ValidationReport,
+    VerdictMemo,
+)
 from repro.blockchain.mempool import Mempool, MempoolPolicy
 from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import Transaction
@@ -45,13 +49,15 @@ class FullNode:
                  name: str = "node",
                  verify_scripts: Optional[bool] = None,
                  chain: Optional[Chain] = None,
-                 mempool_policy: Optional[MempoolPolicy] = None) -> None:
+                 mempool_policy: Optional[MempoolPolicy] = None,
+                 verdict_memo: Optional[VerdictMemo] = None) -> None:
         self.name = name
         # A pre-built chain (e.g. restored from a snapshot via
         # repro.blockchain.store after a crash) takes precedence; the
-        # params/verify_scripts arguments only seed a fresh chain.
+        # params/verify_scripts/verdict_memo arguments only seed a fresh
+        # chain.
         self.chain = chain if chain is not None else Chain(
-            params, verify_scripts=verify_scripts)
+            params, verify_scripts=verify_scripts, verdict_memo=verdict_memo)
         self.mempool = Mempool(self.chain, policy=mempool_policy)
         self.blocks_processed = 0
         self.transactions_processed = 0

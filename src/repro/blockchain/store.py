@@ -19,6 +19,7 @@ from typing import IO, Optional, Union
 
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.chain import Chain
+from repro.blockchain.engine import VerdictMemo
 from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
@@ -108,12 +109,15 @@ def save_chain(chain: Chain, path: Destination) -> int:
 
 def load_chain(path: Destination,
                params: Optional[ChainParams] = None,
-               verify_scripts: Optional[bool] = None) -> Chain:
+               verify_scripts: Optional[bool] = None,
+               verdict_memo: Optional[VerdictMemo] = None) -> Chain:
     """Rebuild a chain from a snapshot, re-validating every block.
 
-    ``path`` may be a filesystem path or any readable text stream.
+    ``path`` may be a filesystem path or any readable text stream;
+    ``verdict_memo`` is handed to the rebuilt chain's engine.
     """
-    chain = Chain(params, verify_scripts=verify_scripts)
+    chain = Chain(params, verify_scripts=verify_scripts,
+                  verdict_memo=verdict_memo)
     with _opened(path, "r") as handle:
         header_line = handle.readline()
         if not header_line:

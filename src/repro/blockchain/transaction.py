@@ -210,15 +210,22 @@ class Transaction:
         return sum(output.value for output in self.outputs)
 
     def serialize(self) -> bytes:
-        out = bytearray(struct.pack("<i", self.version))
-        out += _write_varint(len(self.inputs))
-        for tx_input in self.inputs:
-            out += tx_input.serialize()
-        out += _write_varint(len(self.outputs))
-        for tx_output in self.outputs:
-            out += tx_output.serialize()
-        out += struct.pack("<I", self.locktime)
-        return bytes(out)
+        # Cached on the instance like ``txid``: the transaction is
+        # immutable, and every relay, wire-size estimate and daemon asks
+        # for the same bytes.  A plain method (not a cached_property), so
+        # callers keep calling ``tx.serialize()``.
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            out = bytearray(struct.pack("<i", self.version))
+            out += _write_varint(len(self.inputs))
+            for tx_input in self.inputs:
+                out += tx_input.serialize()
+            out += _write_varint(len(self.outputs))
+            for tx_output in self.outputs:
+                out += tx_output.serialize()
+            out += struct.pack("<I", self.locktime)
+            wire = self.__dict__["_wire"] = bytes(out)
+        return wire
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Transaction":

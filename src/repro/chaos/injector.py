@@ -190,16 +190,24 @@ class ChaosInjector:
         daemon = self.daemons.get(crash.host)
         if daemon is None or daemon.online:
             return
-        old_chain = daemon.node.chain
+        old_node = daemon.node
+        old_chain = old_node.chain
+        # Simulated state is lost; configuration survives the restart: the
+        # operator's mempool policy and the process's shared verdict memo.
+        policy = old_node.mempool.policy
+        memo = old_node.engine.verdict_memo
         snapshot = self._snapshots.pop(crash.host, None)
         if crash.preserve_chain and snapshot is not None:
             chain = load_chain(io.StringIO(snapshot),
                                params=old_chain.params,
-                               verify_scripts=old_chain.verify_scripts)
-            node = FullNode(name=crash.host, chain=chain)
+                               verify_scripts=old_chain.verify_scripts,
+                               verdict_memo=memo)
+            node = FullNode(name=crash.host, chain=chain,
+                            mempool_policy=policy)
         else:
             node = FullNode(old_chain.params, name=crash.host,
-                            verify_scripts=old_chain.verify_scripts)
+                            verify_scripts=old_chain.verify_scripts,
+                            mempool_policy=policy, verdict_memo=memo)
         daemon.restart(node)
         self.telemetry.restarts += 1
         self.telemetry.record_fault(

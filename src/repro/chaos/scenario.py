@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.blockchain.engine import VerdictMemo
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
@@ -134,8 +135,11 @@ def build_federation(size: int = 6, seed: int = 0,
     names = [f"gw-{i}" for i in range(size)]
     daemons: dict[str, BlockchainDaemon] = {}
     agents: dict[str, SyncAgent] = {}
+    # One host-side verdict memo for the whole mesh, as in BcWANNetwork.
+    memo = VerdictMemo()
     for name in names:
-        node = FullNode(chain_params, name, verify_scripts=verify_scripts)
+        node = FullNode(chain_params, name, verify_scripts=verify_scripts,
+                        verdict_memo=memo)
         daemons[name] = BlockchainDaemon(
             sim, name, wan, node, cost, rngs.stream(f"daemon-{name}"),
             verify_blocks=verify_blocks, registry=registry)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain.checkpoint import CheckpointRules
+from repro.blockchain.engine import VerdictMemo
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.wallet import Wallet
@@ -179,6 +180,12 @@ class BcWANNetwork:
                          if self.config.profile_hot_paths else None)
         self.sim.obs = self.profiler
         self.tracker = ExchangeTracker(self.tracer)
+        # Every daemon runs in this one process, so every validation
+        # engine shares one host-side verdict memo: each transaction input
+        # is interpreted once per simulation, while each engine still
+        # counts (and the cost model still charges) its own verification.
+        # Host counters: ``verdict_memo.stats()``, kept out of the registry.
+        self.verdict_memo = VerdictMemo()
         self.sites: list[Site] = []
         self.regions: list[Region] = []
         self.sensors: list[NodeAgent] = []
@@ -220,7 +227,8 @@ class BcWANNetwork:
         # admission on all six nodes; the *timing* of Fig. 6's block
         # verification is modeled by the daemon stall.
         master_node = FullNode(params, "master", verify_scripts=False,
-                               mempool_policy=self.config.mempool)
+                               mempool_policy=self.config.mempool,
+                               verdict_memo=self.verdict_memo)
         master_key = KeyPair.generate(self.rngs.stream("master-key"))
         self.master_wallet = Wallet(master_node.chain, master_key)
         self.master_wallet.watch_chain()
@@ -307,7 +315,8 @@ class BcWANNetwork:
         """
         cfg = self.config
         node = FullNode(params, name, verify_scripts=False,
-                        mempool_policy=cfg.mempool)
+                        mempool_policy=cfg.mempool,
+                        verdict_memo=self.verdict_memo)
         self._replay_chain(source_node, node)
         daemon = BlockchainDaemon(
             self.sim, name, self.wan, node, cfg.cost_model,
@@ -536,7 +545,8 @@ class BcWANNetwork:
         # own CheckpointRules, so each anchor node independently rejects
         # stale or regressing region digests.
         anchor_node = FullNode(params, "anchor", verify_scripts=False,
-                               mempool_policy=self.config.mempool)
+                               mempool_policy=self.config.mempool,
+                               verdict_memo=self.verdict_memo)
         anchor_node.engine.checkpoint_rules = CheckpointRules()
         anchor_key = KeyPair.generate(self.rngs.stream("anchor-master-key"))
         self.anchor_wallet = Wallet(anchor_node.chain, anchor_key)
@@ -572,7 +582,8 @@ class BcWANNetwork:
             # The region's own master: bootstraps and mines the sub-chain.
             master_name = master_names[r]
             master_node = FullNode(params, master_name, verify_scripts=False,
-                                   mempool_policy=cfg.mempool)
+                                   mempool_policy=cfg.mempool,
+                                   verdict_memo=self.verdict_memo)
             master_key = KeyPair.generate(
                 self.rngs.stream(f"master-key-r{r}"))
             master_wallet = Wallet(master_node.chain, master_key)
@@ -607,7 +618,8 @@ class BcWANNetwork:
             # The region's settlement node + checkpoint agent.
             anchor_r_node = FullNode(params, anchor_names[r],
                                      verify_scripts=False,
-                                     mempool_policy=cfg.mempool)
+                                     mempool_policy=cfg.mempool,
+                                     verdict_memo=self.verdict_memo)
             anchor_r_node.engine.checkpoint_rules = CheckpointRules()
             self._replay_chain(anchor_node, anchor_r_node)
             anchor_r_daemon = BlockchainDaemon(

@@ -171,6 +171,11 @@ class WANetwork:
         # bytes_modeled.
         self.bytes_to: dict[str, int] = {}
         self.bytes_by_type: dict[str, int] = {}
+        # The last payload object sized and its size: a relay fan-out
+        # sends one (immutable) message object to every peer in turn, so
+        # it is sized once, not once per peer.
+        self._sized_payload: Any = _NOTHING
+        self._sized_bytes = 0
 
     def register(self, name: str, handler: Callable[[Envelope], None]) -> Host:
         if name in self._hosts:
@@ -228,7 +233,10 @@ class WANetwork:
                             payload=payload, sent_at=self.sim.now,
                             trace=span if span else None)
         self.messages_sent += 1
-        size = estimate_wire_size(payload)
+        if payload is not self._sized_payload:
+            self._sized_payload = payload
+            self._sized_bytes = estimate_wire_size(payload)
+        size = self._sized_bytes
         self.bytes_modeled += size
         self.bytes_to[destination] = self.bytes_to.get(destination, 0) + size
         type_name = type(payload).__name__
@@ -307,3 +315,4 @@ class WANetwork:
 
 
 _NO_FAULT = FaultDecision()
+_NOTHING = object()

@@ -152,6 +152,19 @@ def test_txid_is_double_sha256_of_wire():
     assert tx.txid == double_sha256(tx.serialize())
 
 
+def test_serialize_is_cached_per_instance():
+    tx = simple_tx()
+    wire = tx.serialize()
+    assert tx.serialize() is wire
+    assert simple_tx().serialize() == wire
+    # Equality and hashing still see only the fields, not the cache.
+    assert tx == simple_tx() and hash(tx) == hash(simple_tx())
+    # A derived transaction encodes its own bytes.
+    resigned = tx.with_input_script(0, Script([b"\x01"]))
+    assert resigned.serialize() != wire
+    assert Transaction.deserialize(resigned.serialize()) == resigned
+
+
 # -- coinbase ----------------------------------------------------------------------
 
 def test_coinbase_detection():

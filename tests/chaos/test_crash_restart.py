@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blockchain.mempool import Mempool, MempoolPolicy
 from repro.chaos import FaultPlan, assert_converged, build_federation
 
 
@@ -46,6 +47,26 @@ def test_crash_with_preserved_chain_restarts_at_height():
     assert_converged(fed.daemons)
     assert any(" restart gw-1 height=3" in line
                for line in fed.injector.telemetry.fault_log)
+
+
+@pytest.mark.parametrize("preserve_chain", [False, True])
+def test_restart_keeps_mempool_policy_and_verdict_memo(preserve_chain):
+    """A crash loses simulated state, not the gateway's configuration:
+    the restarted node runs the old mempool policy and still shares the
+    federation's verdict memo."""
+    plan = FaultPlan(seed=21).crash("gw-1", at=6.0, restart_at=10.0,
+                                    preserve_chain=preserve_chain)
+    fed = fed_with_blocks(plan=plan)
+    old = fed.daemons["gw-1"].node
+    policy = MempoolPolicy(min_fee_per_kb=1000)
+    old.mempool = Mempool(old.chain, policy=policy)
+    memo = fed.daemons["gw-0"].node.engine.verdict_memo
+    assert old.engine.verdict_memo is memo
+    fed.sim.run(until=10.1)
+    node = fed.daemons["gw-1"].node
+    assert node is not old and fed.daemons["gw-1"].online
+    assert node.mempool.policy is policy
+    assert node.engine.verdict_memo is memo
 
 
 def test_offline_daemon_refuses_everything():

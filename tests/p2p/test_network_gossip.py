@@ -11,7 +11,7 @@ from repro.blockchain.wallet import Wallet
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
 from repro.p2p.gossip import GossipNode
-from repro.p2p.message import TxMessage
+from repro.p2p.message import InvMessage, TxMessage
 from repro.p2p.network import WANetwork
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
@@ -93,6 +93,34 @@ def test_envelope_metadata():
     env = captured[0]
     assert env.source == "a" and env.destination == "b"
     assert env.payload == 123 and env.sent_at == 0.0
+
+
+def test_fan_out_sizes_a_payload_once(monkeypatch):
+    import repro.p2p.network as network_module
+
+    sized = []
+    estimate = network_module.estimate_wire_size
+
+    def counting(payload):
+        sized.append(payload)
+        return estimate(payload)
+
+    monkeypatch.setattr(network_module, "estimate_wire_size", counting)
+    sim, wan = make_wan()
+    for name in "abcd":
+        wan.register(name, lambda env: None)
+    message = InvMessage(kind="tx", hashes=(b"\x00" * 32,) * 2)
+    assert wan.broadcast("a", message) == 3
+    assert len(sized) == 1
+    assert wan.bytes_modeled == 3 * estimate(message)
+    # An equal but distinct object, or any other payload, is sized anew.
+    wan.send("a", "b", InvMessage(kind="tx", hashes=message.hashes))
+    wan.send("a", "b", "x")
+    wan.send("a", "c", message)
+    assert len(sized) == 4
+    assert wan.bytes_to == {"b": 2 * estimate(message) + estimate("x"),
+                            "c": 2 * estimate(message),
+                            "d": estimate(message)}
 
 
 # -- gossip -------------------------------------------------------------------------
